@@ -7,7 +7,7 @@ root are committed snapshots of ``python -m repro.bench perf --json``.
 
 ``python -m repro.bench check [--baseline FILE] [--factor F]
 [--floor S] [ids...]`` re-runs the experiments (default: ``perf``,
-``serve``, ``kernel`` and ``parallel``) and fails when any shipped-path timing cell —
+``serve`` and ``kernel``) and fails when any shipped-path timing cell —
 evaluation, materialized-view update latency, the view server's p95
 request latency under load *and* the columnar kernel's primitive ops —
 regressed more than ``F``-fold
@@ -32,7 +32,7 @@ from pathlib import Path
 from .harness import all_experiments, experiment
 
 _TIMING_COLUMNS = frozenset(
-    {"compiled s", "batch s", "update s", "adaptive s", "p95 s", "kernel s", "parallel s"}
+    {"compiled s", "batch s", "update s", "adaptive s", "p95 s", "kernel s"}
 )
 """Shipped-path timing columns the regression gate compares: compiled
 plan execution, batch execution, materialized-view update latency,
@@ -150,7 +150,7 @@ def run_check(argv) -> int:
     with open(baseline_path) as fh:
         baseline = json.load(fh)
 
-    results = _run_experiments(ids or ["perf", "serve", "kernel", "parallel"])
+    results = _run_experiments(ids or ["perf", "serve", "kernel"])
     current = _as_json(results)
     if json_out is not None:
         with open(json_out, "w") as fh:

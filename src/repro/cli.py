@@ -300,15 +300,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
         enable_metrics()
         TRACER.start(slow_threshold=args.slow_ms / 1000.0 if args.slow_ms else None)
         try:
-            workers = getattr(args, "workers", 0)
-            if workers and semantics == "naive":
-                print("note: --workers has no sharded naive engine; ignoring")
-                workers = 0
             started = time.perf_counter()
             if semantics == "wellfounded":
-                well_founded_semantics(program, db, parallel=workers)
-            elif workers:
-                _ENGINES[semantics](program, db, parallel=workers)
+                well_founded_semantics(program, db)
             else:
                 _ENGINES[semantics](program, db)
             wall = time.perf_counter() - started
@@ -395,7 +389,6 @@ async def _serve(args: argparse.Namespace) -> int:
         state_dir=args.state,
         tick=args.tick_ms / 1000.0,
         snapshot_every=args.snapshot_every,
-        parallel=getattr(args, "workers", 0),
     )
     recovered = await service.start()
     for info in recovered:
@@ -596,13 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["debug", "info", "warning", "error"],
         help="stdlib logging level for startup/recovery/slow-op events",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="shard fixpoints and maintenance across N worker processes "
-        "(0 = in-process, no pool)",
-    )
     serve.set_defaults(fn=cmd_serve)
 
     explain = sub.add_parser(
@@ -635,13 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="log spans slower than this many milliseconds via logging",
-    )
-    explain.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="profile the sharded executor with N worker processes "
-        "(0 = in-process engine)",
     )
     explain.set_defaults(fn=cmd_explain)
 

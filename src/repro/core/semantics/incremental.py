@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...db.database import Database
 from ...db.relation import Relation
-from ...parallel.shard import SHARD
 from ..literals import Atom
 from ..operator import empty_idb, theta
 from ..planning import PLAN_STORE, execute_plan
@@ -86,31 +85,20 @@ def incremental_inflationary_semantics(
 
     # Round 1 is a full Theta application (it alone can use rules with no
     # positive IDB literal, and it seeds the deltas).
-    if SHARD.active:
-        current = SHARD.theta_sharded(program, db, empty_idb(program))
-    else:
-        current = theta(program, db, empty_idb(program), plan=program_plan)
+    current = theta(program, db, empty_idb(program), plan=program_plan)
     delta = dict(current)
     rounds = 0 if not any(delta[p] for p in idb_preds) else 1
 
     while any(delta[p] for p in idb_preds):
-        # Sharded runs bind each worker's slice of the delta and union the
-        # derivations at the barrier (see seminaive for the same seam).
         interp = db.with_relations(
             list(current.values())
-            + [
-                SHARD.frontier(p, delta[p]).with_name(_delta_name(p))
-                for p in idb_preds
-            ]
+            + [delta[p].with_name(_delta_name(p)) for p in idb_preds]
         )
         derived: Dict[str, Set[Tuple]] = {p: set() for p in idb_preds}
         for plan in adaptive_variants.refresh(interp):
             derived[plan.head_pred] |= execute_plan(
                 plan, interp, stats=PLAN_STORE.statistics
             )
-        derived = SHARD.merge_tuple_map(
-            derived, {p: program.arity(p) for p in idb_preds}
-        )
         delta = {
             p: Relation(p, program.arity(p), derived[p] - current[p].tuples)
             for p in idb_preds

@@ -28,7 +28,6 @@ from typing import List, Optional
 
 from ...db.database import Database
 from ...obs import RECORDER, TRACER
-from ...parallel.shard import SHARD
 from ..fixpoint import idb_equal, idb_union
 from ..operator import IDBMap, empty_idb, theta
 from ..planning import PLAN_STORE, ProgramPlan
@@ -42,14 +41,7 @@ def inflationary_step(
     current: IDBMap,
     plan: Optional[ProgramPlan] = None,
 ) -> IDBMap:
-    """One application of the inflationary operator ``S |-> S u Theta(S)``.
-
-    Under an active shard context each worker applies Theta for its
-    slice of the rules and the consequences are unioned at the barrier,
-    so every replica unions the same stage into ``current``.
-    """
-    if SHARD.active:
-        return idb_union([current, SHARD.theta_sharded(program, db, current)])
+    """One application of the inflationary operator ``S |-> S u Theta(S)``."""
     return idb_union([current, theta(program, db, current, plan=plan)])
 
 
@@ -58,19 +50,13 @@ def inflationary_semantics(
     db: Database,
     keep_trace: bool = False,
     max_rounds: Optional[int] = None,
-    parallel: int = 0,
 ) -> EvaluationResult:
     """Compute ``Theta^infinity``, the inductive fixpoint of S u Theta(S).
 
     Works for *every* DATALOG¬ program — that totality is the point of the
     semantics.  ``result.rounds`` is the paper's ``n_0``: the first ``n``
     with ``Theta^n = Theta^{n+1}``; it is at most ``sum_i |A|^{arity_i}``.
-    ``parallel=N`` runs the rounds inside a pool of sharded workers.
     """
-    if parallel and not SHARD.active:
-        from ...parallel.executor import parallel_evaluate
-
-        return parallel_evaluate("inflationary", program, db, nshards=parallel)
     n = len(db.universe)
     bound = sum(n ** program.arity(p) for p in program.idb_predicates) + 1
     limit = bound if max_rounds is None else max_rounds

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 from ...db.database import Database
 from ...db.relation import Relation
 from ...obs import RECORDER, TRACER
-from ...parallel.shard import SHARD
 from ..literals import Atom
 from ..operator import empty_idb
 from ..planning import PLAN_STORE, execute_plan
@@ -55,7 +54,6 @@ def seminaive_least_fixpoint(
     keep_trace: bool = False,
     max_rounds: Optional[int] = None,
     known_sizes: Optional[Dict[str, int]] = None,
-    parallel: int = 0,
 ) -> EvaluationResult:
     """Compute the least fixpoint by differential (semi-naive) iteration.
 
@@ -75,10 +73,6 @@ def seminaive_least_fixpoint(
     SemanticsError
         If some IDB predicate occurs negated.
     """
-    if parallel and not SHARD.active:
-        from ...parallel.executor import parallel_evaluate
-
-        return parallel_evaluate("seminaive", program, db, nshards=parallel)
     if not is_semipositive(program):
         raise SemanticsError(
             "semi-naive evaluation requires a (semi)positive program"
@@ -113,18 +107,13 @@ def seminaive_least_fixpoint(
     trace = [dict(current)] if keep_trace else None
 
     # Round 1: rules without IDB body atoms seed the iteration.
-    arities = {p: program.arity(p) for p in idb_preds}
     with TRACER.span("seminaive.seed") as sp:
         interp = db.with_relations(current.values())
         derived: Dict[str, set] = {p: set() for p in idb_preds}
-        # Under a shard context each worker evaluates its round-robin
-        # slice of the base plans (deterministic order) and the seeds are
-        # unioned at the first barrier.
-        for plan in SHARD.plan_slice(base_plans):
+        for plan in base_plans:
             derived[plan.head_pred] |= execute_plan(
                 plan, interp, stats=PLAN_STORE.statistics
             )
-        derived = SHARD.merge_tuple_map(derived, arities)
         delta = {
             p: Relation(p, program.arity(p), derived[p] - current[p].tuples)
             for p in idb_preds
@@ -138,23 +127,15 @@ def seminaive_least_fixpoint(
             current = {p: current[p].union(delta[p]) for p in idb_preds}
             if keep_trace:
                 trace.append(dict(current))
-            # Sharded runs read only this worker's slice of the frontier
-            # (partitioned by the shard plan's key columns); the per-round
-            # derivations are re-unioned at the barrier below, so the
-            # convergence test sees the same delta on every replica.
             interp = db.with_relations(
                 list(current.values())
-                + [
-                    SHARD.frontier(p, delta[p]).with_name(_delta_name(p))
-                    for p in idb_preds
-                ]
+                + [delta[p].with_name(_delta_name(p)) for p in idb_preds]
             )
             derived = {p: set() for p in idb_preds}
             for plan in adaptive_variants.refresh(interp):
                 derived[plan.head_pred] |= execute_plan(
                     plan, interp, stats=PLAN_STORE.statistics
                 )
-            derived = SHARD.merge_tuple_map(derived, arities)
             delta = {
                 p: Relation(p, program.arity(p), derived[p] - current[p].tuples)
                 for p in idb_preds

@@ -35,7 +35,6 @@ from typing import Dict, FrozenSet, Optional, Set
 from ...db.database import Database
 from ...db.relation import Relation
 from ...obs import RECORDER, TRACER
-from ...parallel.shard import SHARD
 from ..grounding import GroundAtom, GroundProgram, ground_program
 from ..operator import IDBMap
 from ..program import Program
@@ -86,8 +85,6 @@ def _least_model_of_reduct(
 ) -> Set[GroundAtom]:
     """``A(reference)``: least model with negation evaluated against
     ``reference`` (``not n`` holds iff ``n not in reference``)."""
-    if SHARD.active:
-        return _sharded_least_model(ground, reference)
     true: Set[GroundAtom] = set()
     # Keep only rules whose negative part is satisfied; then run a
     # queue-based least-model computation on the positive remainder.
@@ -110,85 +107,16 @@ def _least_model_of_reduct(
     return true
 
 
-def _shard_ground(ground: GroundProgram):
-    """This replica's slice of ``ground.rules``, memoised per program.
-
-    The alternating fixpoint calls the least-model operator ``2r + 1``
-    times over one unchanging ground program; slicing on every call
-    would re-hash every rule head each time and cost more than the
-    filter it parallelises.  Cached on the shard context (cleared at
-    deactivate), keyed by object identity with the program kept alive
-    in the cache entry so the id cannot be recycled under us.
-
-    Also returns the barrier key set — every predicate a derived atom
-    could mention, with its arity — taken from the *pre-slice* heads,
-    which are content-identical on all replicas (local slices are not,
-    so they cannot define the barrier shape).
-    """
-    cached = SHARD.scratch.get("wf_ground")
-    if cached is not None and cached[0] is ground:
-        return cached[1], cached[2]
-    arities = {r.head[0]: len(r.head[1]) for r in ground.rules}
-    mine = SHARD.ground_rule_slice(ground.rules)
-    SHARD.scratch["wf_ground"] = (ground, mine, arities)
-    return mine, arities
-
-
-def _sharded_least_model(
-    ground: GroundProgram, reference: Set[GroundAtom]
-) -> Set[GroundAtom]:
-    """The inner least fixpoint, split by head atom across shards.
-
-    Each worker filters and drains local propagation on its slice of
-    the ground rules, then the pass's new atoms are unioned at a
-    barrier and adopted as positive support for the next pass.  The
-    loop ends when a barrier merges nothing new — a global condition,
-    so every replica exits together.  Slicing is by head-atom content
-    (never rule list position: ground rules come out of set iteration,
-    whose order differs between processes).
-    """
-    true: Set[GroundAtom] = set()
-    mine, arities = _shard_ground(ground)
-    active = [r for r in mine if all(n not in reference for n in r.neg)]
-    while True:
-        fresh: Set[GroundAtom] = set()
-        changed = True
-        while changed:
-            changed = False
-            remaining = []
-            for r in active:
-                if r.head in true or r.head in fresh:
-                    continue
-                if all(p in true or p in fresh for p in r.pos):
-                    fresh.add(r.head)
-                    changed = True
-                else:
-                    remaining.append(r)
-            active = remaining
-        merged = SHARD.merge_atoms(fresh, arities)
-        gained = merged - true
-        if not gained:
-            return true
-        true |= gained
-
-
 def well_founded_semantics(
     program: Program,
     db: Database,
     ground: Optional[GroundProgram] = None,
-    parallel: int = 0,
 ) -> WellFoundedResult:
     """Compute the well-founded model by alternating fixpoint.
 
     A pre-computed :class:`GroundProgram` may be supplied to share grounding
-    work across analyses.  ``parallel=N`` ships the computation to a pool
-    of ``N`` sharded worker processes (``ground`` is then recomputed by
-    the workers rather than shared).
+    work across analyses.
     """
-    if parallel and not SHARD.active:
-        from ...parallel.executor import parallel_well_founded
-
-        return parallel_well_founded(program, db, nshards=parallel)
     with TRACER.span("wellfounded") as root:
         gp = ground if ground is not None else ground_program(program, db)
         true: Set[GroundAtom] = set()

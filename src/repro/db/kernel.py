@@ -168,15 +168,6 @@ class SymbolTable:
                 self._misc.clear()
         return i
 
-    def intern_many(self, values: Iterable[Any]) -> None:
-        """Intern every value (bulk form of :meth:`intern`)."""
-        for v in values:
-            self.intern(v)
-
-    def id_of(self, value: Any) -> Optional[int]:
-        """The id of ``value`` if already interned, else ``None``."""
-        return self._ids.get(value)
-
     def extern(self, ident: int) -> Any:
         """The value behind a dense id."""
         return self._values[ident]
@@ -185,15 +176,6 @@ class SymbolTable:
         """Field ids of a tuple (interning new values)."""
         intern = self.intern
         return tuple(intern(v) for v in t)
-
-    def encode_tuple(self, t: Sequence[Any]) -> int:
-        """Pack a tuple into one row code under the current shift."""
-        b = self._shift
-        intern = self.intern
-        code = 0
-        for v in t:
-            code = (code << b) | intern(v)
-        return code
 
     def extern_code(self, code: int, arity: int) -> tuple:
         """Unpack a row code into a value tuple (memoised)."""

@@ -31,7 +31,6 @@ from ..core.planning.batch import solve_plan_table
 from ..core.rules import Rule
 from ..db.database import Database
 from ..obs import TRACER
-from ..parallel.shard import SHARD
 from .delta import Tup
 from .variants import (
     PlanCache,
@@ -122,11 +121,6 @@ class CountingState:
         ``(inserted, deleted)`` tuple sets of the maintained predicate.
         """
         diff = Counter()
-        # Sharded runs narrow the @ins/@del flips to this worker's slice
-        # — each telescoping variant reads the differentiated flip exactly
-        # once, so summing the per-shard diffs at the barrier reconstructs
-        # the exact derivation-count delta.
-        interp = SHARD.flip_sharded_interp(interp)
         with TRACER.span("counting.variants") as sp:
             for rule in self.rules:
                 for position in changeable_positions(rule, changed):
@@ -137,7 +131,6 @@ class CountingState:
             if sp:
                 sp["pred"] = self.pred
                 sp["rows_out"] = len(diff)
-        diff = SHARD.merge_counter(diff, self.arity)
         if not diff:
             return frozenset(), frozenset()
         counts = self.counts

@@ -42,7 +42,6 @@ from ..core.rules import Rule
 from ..db.database import Database
 from ..db.relation import Relation
 from ..obs import TRACER
-from ..parallel.shard import SHARD
 from .delta import Tup
 from .variants import del_name, ins_name, new_name, old_name, PlanCache
 
@@ -167,12 +166,7 @@ class RecursiveState:
     ) -> Dict[str, Set[Tup]]:
         """Tuples with some old derivation through a retracted input."""
         deleted: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
-        # Sharded runs narrow the @ins/@del flip aliases to this worker's
-        # slice — each seed variant reads a flip exactly once, so the
-        # merged seeds cover every derivation exactly once.
-        relations: Dict[str, Relation] = {
-            name: SHARD.flip_shard(name, rel) for name, rel in aliases.items()
-        }
+        relations: Dict[str, Relation] = dict(aliases)
         for pred, value in current.items():
             relations[pred] = value
 
@@ -184,7 +178,6 @@ class RecursiveState:
                 variant = self._variant(rule, position, flip, old_name(""))
                 hits = self._derive(variant, interp) & current[rule.head.pred].tuples
                 frontier[rule.head.pred] |= hits
-        frontier = SHARD.merge_tuple_map(frontier, self.preds)
 
         # Propagate deletions through the component's positive recursion:
         # each round differentiates one component position with the
@@ -196,14 +189,9 @@ class RecursiveState:
             rounds += 1
             if rounds > limit:
                 raise AssertionError("DRed over-deletion exceeded its bound %d" % limit)
-            # Each worker propagates only its shard of the frontier; the
-            # next frontier is re-unioned so `deleted` and the stop test
-            # stay replica-identical.
             for pred in self.preds:
                 relations[pred + DELETE_FRONTIER] = Relation(
-                    pred + DELETE_FRONTIER,
-                    self.preds[pred],
-                    SHARD.shard_tuples(pred, frontier[pred]),
+                    pred + DELETE_FRONTIER, self.preds[pred], frontier[pred]
                 )
             interp = Database(universe, relations.values(), check=False)
             next_frontier: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
@@ -218,7 +206,7 @@ class RecursiveState:
                     next_frontier[head] |= (
                         self._derive(variant, interp) & current[head].tuples
                     ) - deleted[head]
-            frontier = SHARD.merge_tuple_map(next_frontier, self.preds)
+            frontier = next_frontier
         return deleted
 
     # ------------------------------------------------------------------
@@ -238,12 +226,7 @@ class RecursiveState:
         current = dict(surviving)
 
         def interp_with(extra: List[Relation]) -> Database:
-            # Flip aliases narrowed per shard (identity when sequential);
-            # the full-rule variants of the rederiving branch read @new,
-            # which passes through untouched.
-            merged = {
-                name: SHARD.flip_shard(name, rel) for name, rel in aliases.items()
-            }
+            merged = dict(aliases)
             merged.update({p: current[p] for p in self.preds})
             merged.update({r.name: r for r in extra})
             return Database(universe, merged.values(), check=False)
@@ -251,14 +234,12 @@ class RecursiveState:
         if rederiving:
             # Some tuples were over-deleted: any of them might be
             # rederivable through surviving support, so round 1 is one
-            # full consequence application over the new inputs.  Sharded
-            # runs slice the (deterministically ordered) rule list.
+            # full consequence application over the new inputs.
             interp = interp_with([])
             derived: Dict[str, Set[Tup]] = {p: set() for p in self.preds}
-            for rule in SHARD.rule_slice(self.rules):
+            for rule in self.rules:
                 full = Rule(rule.head, [self._read(t, new_name("")) for t in rule.body])
                 derived[rule.head.pred] |= self._derive(full, interp)
-            derived = SHARD.merge_tuple_map(derived, self.preds)
             delta = {
                 p: frozenset(derived[p]) - current[p].tuples for p in self.preds
             }
@@ -272,7 +253,6 @@ class RecursiveState:
                 for position, flip in self._base_flips(rule, base_changes, killing=False):
                     variant = self._variant(rule, position, flip, new_name(""))
                     gained[rule.head.pred] |= self._derive(variant, interp)
-            gained = SHARD.merge_tuple_map(gained, self.preds)
             delta = {
                 p: frozenset(gained[p]) - current[p].tuples for p in self.preds
             }
@@ -287,12 +267,7 @@ class RecursiveState:
                 for p in self.preds
             }
             frontier = [
-                Relation(
-                    p + INSERT_FRONTIER,
-                    self.preds[p],
-                    SHARD.shard_tuples(p, delta[p]),
-                )
-                for p in self.preds
+                Relation(p + INSERT_FRONTIER, self.preds[p], delta[p]) for p in self.preds
             ]
             interp = interp_with(frontier)
             derived = {p: set() for p in self.preds}
@@ -304,7 +279,6 @@ class RecursiveState:
                         rule, i, rule.body[i].pred + INSERT_FRONTIER, new_name("")
                     )
                     derived[rule.head.pred] |= self._derive(variant, interp)
-            derived = SHARD.merge_tuple_map(derived, self.preds)
             delta = {
                 p: frozenset(derived[p]) - current[p].tuples for p in self.preds
             }

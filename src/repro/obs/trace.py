@@ -190,20 +190,6 @@ def span(name: str, **attrs: Any):
     return TRACER.span(name, **attrs)
 
 
-def synthetic_span(tracer: Tracer, name: str, duration: float, **attrs: Any):
-    """Record a span for work that happened elsewhere (e.g. a worker
-    process), back-dating its start so ``duration`` is preserved.  The
-    span attaches to the currently open span (or the roots) like any
-    other; a no-op while tracing is disabled."""
-    s = tracer.span(name, **attrs)
-    if s is NULL_SPAN:
-        return s
-    with s:
-        pass
-    s.start = s.end - duration
-    return s
-
-
 # ----------------------------------------------------------------------
 # Well-formedness, export, aggregation
 # ----------------------------------------------------------------------

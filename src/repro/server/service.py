@@ -109,6 +109,12 @@ _RECOVERY_SECONDS = REGISTRY.histogram(
     buckets=LATENCY_BUCKETS,
 )
 
+_SNAPSHOT_FAILURES = REGISTRY.counter(
+    "repro_wal_snapshot_failures_total",
+    "Periodic snapshots that failed (the WAL still holds the batch).",
+    labelnames=("view",),
+)
+
 _RECENT_WINDOW = 256
 """How many committed changesets the per-view recent-events window keeps
 (the dedup set over their content hashes backs the ``stats`` counters)."""
@@ -264,10 +270,6 @@ class ViewServer:
         Cut a snapshot (and prune the WAL behind it) every this many
         commits.  ``None`` disables periodic snapshots — the WAL then
         grows until :meth:`close`, which always cuts a final snapshot.
-    parallel:
-        Maintain every hosted view over a pool of this many sharded
-        worker processes (``0`` stays sequential).  Falls back to
-        sequential where process forking is unavailable.
     """
 
     def __init__(
@@ -275,12 +277,10 @@ class ViewServer:
         state_dir: Optional[Union[str, Path]] = None,
         tick: float = 0.0,
         snapshot_every: Optional[int] = 64,
-        parallel: int = 0,
     ) -> None:
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.tick = tick
         self.snapshot_every = snapshot_every
-        self.parallel = parallel
         self._views: Dict[str, _ViewState] = {}
         self._closed = False
 
@@ -317,9 +317,7 @@ class ViewServer:
         log = DeltaLog(directory)
         rec = log.recover()
         program = parse_program(rec.program_text, carrier=rec.carrier)
-        view = MaterializedView(
-            program, rec.db, semantics=rec.semantics, parallel=self.parallel
-        )
+        view = MaterializedView(program, rec.db, semantics=rec.semantics)
         replayed = 0
         for _seq, delta in rec.entries:
             view.apply(delta)
@@ -389,9 +387,7 @@ class ViewServer:
             log = DeltaLog.initialise(
                 self.state_dir / name, name, program_text, semantics, carrier, db
             )
-        view = MaterializedView(
-            program, db, semantics=semantics, parallel=self.parallel
-        )
+        view = MaterializedView(program, db, semantics=semantics)
         state = _ViewState(
             name=name,
             program=program,
@@ -691,7 +687,16 @@ class ViewServer:
             and self.snapshot_every is not None
             and seq - state.log.snapshot_seq >= self.snapshot_every
         ):
-            state.log.snapshot(seq, state.view.db)
+            # The batch is already durable in the WAL, so a failed
+            # snapshot (a full disk, say) must not fail the batch; the
+            # snapshot_seq did not move, so the next commit retries.
+            try:
+                state.log.snapshot(seq, state.view.db)
+            except OSError as exc:
+                _SNAPSHOT_FAILURES.labels(state.name).inc()
+                logger.warning(
+                    "snapshot of view %r at seq %d failed: %s", state.name, seq, exc
+                )
         if not changeset.is_empty():
             state.recent.append((seq, changeset))
             for sub in state.subscribers:

@@ -256,6 +256,10 @@ def test_explain_profile_attributes_phases(workspace, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "profile: wall" in out and "attributed to spans" in out
     assert "alternation.step" in out
+    # The profiled run's planner statistics reach the report.
+    planner = out.split("observed planner statistics")[1]
+    assert "card  E" in planner
+    assert "(none yet — run with --profile to collect)" not in out
     # The profile run leaves the process-wide facades off again.
     assert not RECORDER.enabled and not TRACER.enabled
     import json
